@@ -62,6 +62,62 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     mix64(h)
 }
 
+/// A [`BuildHasher`] for `u64`-keyed hash maps on per-tuple paths, where
+/// SipHash costs more than the rest of the lookup: a `u64` key hashes to
+/// `mix64(seed ^ key)`.
+///
+/// Each instance draws its seed from [`RandomState`], so keys picked to
+/// collide under one seed do not collide under another, and iteration
+/// order differs between maps as it does for the default hasher.
+///
+/// [`BuildHasher`]: std::hash::BuildHasher
+/// [`RandomState`]: std::collections::hash_map::RandomState
+#[derive(Debug, Clone, Copy)]
+pub struct Mix64State {
+    seed: u64,
+}
+
+impl Default for Mix64State {
+    fn default() -> Self {
+        use std::hash::BuildHasher;
+        Self {
+            seed: std::collections::hash_map::RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl std::hash::BuildHasher for Mix64State {
+    type Hasher = Mix64Hasher;
+
+    #[inline]
+    fn build_hasher(&self) -> Mix64Hasher {
+        Mix64Hasher { h: self.seed }
+    }
+}
+
+/// The [`std::hash::Hasher`] of [`Mix64State`]. Each write folds its
+/// input into the state through [`mix64`].
+#[derive(Debug, Clone, Copy)]
+pub struct Mix64Hasher {
+    h: u64,
+}
+
+impl std::hash::Hasher for Mix64Hasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.h
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.h = mix64(self.h ^ hash_bytes(bytes));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.h = mix64(self.h ^ key);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +179,20 @@ mod tests {
             let dev = (b as f64 - expected).abs() / expected;
             assert!(dev < 0.05, "bucket {i} deviates {dev}");
         }
+    }
+
+    #[test]
+    fn mix64_state_seeds_each_map() {
+        use std::hash::BuildHasher;
+        let (a, b) = (Mix64State::default(), Mix64State::default());
+        assert_eq!(a.hash_one(7u64), a.hash_one(7u64));
+        assert_ne!(a.hash_one(7u64), b.hash_one(7u64));
+        assert_ne!(a.hash_one(7u64), a.hash_one(8u64));
+        let mut m: std::collections::HashMap<u64, u64, Mix64State> = Default::default();
+        for k in 0..1000 {
+            m.insert(k, k * 2);
+        }
+        assert!((0..1000).all(|k| m[&k] == k * 2));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! Three structures live here:
 //!
 //! - [`WeightedSpaceSaving`] — SpaceSaving over arbitrary `f64`-weighted
-//!   updates (counter array + indexed min-heap);
+//!   updates: a counter array, a min-heap of `(count, counter index)`
+//!   entries, and an open-addressed item → counter-index table;
 //! - [`UnarySpaceSaving`] — the classic Stream-Summary structure with O(1)
 //!   unary updates, the "Unary HH" baseline in the paper's Figure 5;
 //! - [`DecayedHeavyHitters`] — the forward-decay wrapper that feeds
@@ -21,6 +22,7 @@
 use std::collections::HashMap;
 
 use crate::decay::ForwardDecay;
+use crate::hash::mix64;
 use crate::merge::Mergeable;
 use crate::numerics::Renormalizer;
 use crate::Timestamp;
@@ -72,17 +74,156 @@ pub struct HeavyHitter {
 /// let hh = ss.heavy_hitters(0.05);
 /// assert_eq!(hh.len(), 10);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeightedSpaceSaving {
     capacity: usize,
     counters: Vec<HhCounter>,
-    /// Min-heap of counter indices keyed by `counters[i].count`.
-    heap: Vec<usize>,
+    /// Min-heap over the counters, ordered by the inline `count`.
+    heap: Vec<HeapEntry>,
     /// `heap_pos[i]` = position of counter `i` inside `heap`.
-    heap_pos: Vec<usize>,
+    heap_pos: Vec<u32>,
     /// item → counter index.
-    index: HashMap<u64, usize>,
+    index: ItemIndex,
     total: f64,
+}
+
+/// A heap entry: a copy of `counters[ci].count`, kept next to the counter
+/// index so that a sift compares adjacent memory.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    count: f64,
+    ci: u32,
+}
+
+/// Largest supported capacity: counter indices and heap positions are
+/// `u32`, and [`EMPTY`] is reserved.
+const MAX_CAPACITY: usize = u32::MAX as usize - 1;
+
+/// The counter index of an empty [`ItemIndex`] slot.
+const EMPTY: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    item: u64,
+    ci: u32,
+}
+
+/// item → counter index: an open-addressed, linear-probing table of
+/// power-of-two size, hashed by [`mix64`], kept at most half full, with
+/// backward-shift deletion (no tombstones).
+///
+/// The hash is unkeyed, so items chosen to collide lengthen probes; the
+/// table holds at most `capacity` items in `O(capacity)` slots, which
+/// bounds the damage.
+#[derive(Debug, Clone)]
+struct ItemIndex {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl ItemIndex {
+    /// An empty table with room for `n + 1` items before it grows: an
+    /// eviction briefly holds one item more than the summary's length.
+    fn with_room_for(n: usize) -> Self {
+        let size = (2 * (n + 1)).next_power_of_two();
+        Self {
+            slots: vec![Slot { item: 0, ci: EMPTY }; size],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    #[inline]
+    fn home(&self, item: u64) -> usize {
+        mix64(item) as usize & self.mask()
+    }
+
+    /// `Ok(counter index)` if `item` is present, else `Err(slot)`: the
+    /// empty slot that ends its probe run, where [`Self::insert_at`] may
+    /// place it.
+    #[inline]
+    fn find(&self, item: u64) -> Result<u32, usize> {
+        let mask = self.mask();
+        let mut i = self.home(item);
+        loop {
+            let s = self.slots[i];
+            if s.ci == EMPTY {
+                return Err(i);
+            }
+            if s.item == item {
+                return Ok(s.ci);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn get(&self, item: u64) -> Option<usize> {
+        self.find(item).ok().map(|ci| ci as usize)
+    }
+
+    /// Stores `item → ci` in `slot`, which [`Self::find`] just returned for
+    /// `item`, then grows the table if it passed half full.
+    fn insert_at(&mut self, slot: usize, item: u64, ci: u32) {
+        debug_assert_eq!(self.slots[slot].ci, EMPTY);
+        self.slots[slot] = Slot { item, ci };
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            let old = std::mem::replace(self, Self::with_room_for(self.len));
+            for s in old.slots.into_iter().filter(|s| s.ci != EMPTY) {
+                let slot = self.find(s.item).expect_err("items are unique");
+                self.slots[slot] = s;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Inserts `item → ci`; returns false if `item` is already present.
+    fn insert(&mut self, item: u64, ci: u32) -> bool {
+        match self.find(item) {
+            Ok(_) => false,
+            Err(slot) => {
+                self.insert_at(slot, item, ci);
+                true
+            }
+        }
+    }
+
+    /// Removes `item`, which must be present, and shifts later members of
+    /// its probe run back so that no lookup crosses an empty slot.
+    fn remove(&mut self, item: u64) {
+        let mask = self.mask();
+        let mut hole = self.home(item);
+        loop {
+            let s = self.slots[hole];
+            assert_ne!(s.ci, EMPTY, "removed item must be indexed");
+            if s.item == item {
+                break;
+            }
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s.ci == EMPTY {
+                break;
+            }
+            // `s` may fill the hole unless its home lies cyclically in
+            // (hole, j], where a lookup would stop at the hole.
+            let home = self.home(s.item);
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = s;
+                hole = j;
+            }
+        }
+        self.slots[hole].ci = EMPTY;
+        self.len -= 1;
+    }
 }
 
 impl WeightedSpaceSaving {
@@ -90,15 +231,21 @@ impl WeightedSpaceSaving {
     /// `ε = 1/capacity`).
     ///
     /// # Panics
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or `capacity ≥ u32::MAX`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        assert!(capacity <= MAX_CAPACITY, "capacity must be below u32::MAX");
+        Self::with_parts(capacity, capacity)
+    }
+
+    /// An empty summary whose buffers have room for `room` counters.
+    fn with_parts(capacity: usize, room: usize) -> Self {
         Self {
             capacity,
-            counters: Vec::with_capacity(capacity),
-            heap: Vec::with_capacity(capacity),
-            heap_pos: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity * 2),
+            counters: Vec::with_capacity(room),
+            heap: Vec::with_capacity(room),
+            heap_pos: Vec::with_capacity(room),
+            index: ItemIndex::with_room_for(room),
             total: 0.0,
         }
     }
@@ -132,12 +279,13 @@ impl WeightedSpaceSaving {
         self.counters.is_empty()
     }
 
-    /// Approximate memory footprint in bytes (used by the space figures).
+    /// Memory footprint in bytes: the counter array, the heap and its
+    /// position map, the probe table, and the struct itself.
     pub fn size_bytes(&self) -> usize {
         self.counters.capacity() * std::mem::size_of::<HhCounter>()
-            + self.heap.capacity() * std::mem::size_of::<usize>() * 2
-            + self.index.capacity()
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<usize>() + 8)
+            + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
+            + self.heap_pos.capacity() * std::mem::size_of::<u32>()
+            + self.index.slots.capacity() * std::mem::size_of::<Slot>()
             + std::mem::size_of::<Self>()
     }
 
@@ -148,33 +296,43 @@ impl WeightedSpaceSaving {
             return;
         }
         self.total += w;
-        if let Some(&ci) = self.index.get(&item) {
-            self.counters[ci].count += w;
-            self.sift_down(self.heap_pos[ci]);
-        } else if self.counters.len() < self.capacity {
-            let ci = self.counters.len();
-            self.counters.push(HhCounter {
-                item,
-                count: w,
-                error: 0.0,
-            });
-            self.heap.push(ci);
-            self.heap_pos.push(self.heap.len() - 1);
-            self.index.insert(item, ci);
-            self.sift_up(self.heap.len() - 1);
-        } else {
-            // Evict the minimum counter: the newcomer inherits its count as
-            // error and adds its own weight.
-            let ci = self.heap[0];
-            let old = self.counters[ci];
-            self.index.remove(&old.item);
-            self.index.insert(item, ci);
-            self.counters[ci] = HhCounter {
-                item,
-                count: old.count + w,
-                error: old.count,
-            };
-            self.sift_down(0);
+        match self.index.find(item) {
+            Ok(ci) => {
+                let ci = ci as usize;
+                let count = self.counters[ci].count + w;
+                self.counters[ci].count = count;
+                let pos = self.heap_pos[ci] as usize;
+                self.heap[pos].count = count;
+                self.sift_down(pos);
+            }
+            Err(slot) if self.counters.len() < self.capacity => {
+                let ci = self.counters.len() as u32;
+                self.counters.push(HhCounter {
+                    item,
+                    count: w,
+                    error: 0.0,
+                });
+                self.heap.push(HeapEntry { count: w, ci });
+                self.heap_pos.push(ci);
+                self.index.insert_at(slot, item, ci);
+                self.sift_up(ci as usize);
+            }
+            Err(slot) => {
+                // Evict the minimum counter: the newcomer inherits its count
+                // as error and adds its own weight.
+                let ci = self.heap[0].ci;
+                let old = self.counters[ci as usize];
+                self.index.insert_at(slot, item, ci);
+                self.index.remove(old.item);
+                let count = old.count + w;
+                self.counters[ci as usize] = HhCounter {
+                    item,
+                    count,
+                    error: old.count,
+                };
+                self.heap[0].count = count;
+                self.sift_down(0);
+            }
         }
     }
 
@@ -182,7 +340,7 @@ impl WeightedSpaceSaving {
     /// in `[count − error, count]`. Unmonitored items have true weight at
     /// most the minimum monitored count.
     pub fn estimate(&self, item: u64) -> Option<HhCounter> {
-        self.index.get(&item).map(|&ci| self.counters[ci])
+        self.index.get(item).map(|ci| self.counters[ci])
     }
 
     /// The smallest monitored count — an upper bound on the weight of any
@@ -191,7 +349,7 @@ impl WeightedSpaceSaving {
         if self.counters.len() < self.capacity {
             0.0
         } else {
-            self.heap.first().map_or(0.0, |&ci| self.counters[ci].count)
+            self.heap.first().map_or(0.0, |e| e.count)
         }
     }
 
@@ -233,60 +391,224 @@ impl WeightedSpaceSaving {
             c.count *= factor;
             c.error *= factor;
         }
+        for e in &mut self.heap {
+            e.count *= factor;
+        }
         self.total *= factor;
         // Order is preserved (factor ≥ 0): the heap stays valid.
     }
 
     // --- indexed binary min-heap ------------------------------------------
-
-    fn less(&self, a: usize, b: usize) -> bool {
-        self.counters[self.heap[a]].count < self.counters[self.heap[b]].count
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.heap_pos[self.heap[a]] = a;
-        self.heap_pos[self.heap[b]] = b;
-    }
+    //
+    // Both sifts leave the layout of a sift that swaps the moving entry with
+    // its parent, or with its smaller child (the left one on a tie), while
+    // that one is strictly smaller. The layout decides which counter is
+    // evicted among equal counts, so it reaches the query output. They move
+    // a hole instead of swapping.
 
     fn sift_up(&mut self, mut i: usize) {
+        let moving = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.less(i, parent) {
-                self.swap(i, parent);
+            if moving.count < self.heap[parent].count {
+                self.place(i, self.heap[parent]);
                 i = parent;
             } else {
                 break;
             }
         }
+        self.place(i, moving);
     }
 
     fn sift_down(&mut self, mut i: usize) {
+        let moving = self.heap[i];
+        let n = self.heap.len();
         loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < self.heap.len() && self.less(l, smallest) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.less(r, smallest) {
-                smallest = r;
-            }
-            if smallest == i {
+            let l = 2 * i + 1;
+            if l >= n {
                 break;
             }
-            self.swap(i, smallest);
-            i = smallest;
+            // For counts without NaN, picking the smaller child first and
+            // then comparing it once with the moving entry gives the same
+            // result as comparing each child with the running minimum.
+            let r = l + 1;
+            let c = if r < n && self.heap[r].count < self.heap[l].count {
+                r
+            } else {
+                l
+            };
+            let child = self.heap[c];
+            if child.count >= moving.count {
+                break;
+            }
+            self.place(i, child);
+            i = c;
         }
+        self.place(i, moving);
+    }
+
+    #[inline]
+    fn place(&mut self, pos: usize, e: HeapEntry) {
+        self.heap[pos] = e;
+        self.heap_pos[e.ci as usize] = pos as u32;
     }
 
     #[cfg(test)]
     fn check_heap_invariant(&self) {
         for i in 1..self.heap.len() {
-            assert!(!self.less(i, (i - 1) / 2), "heap violated at {i}");
+            assert!(
+                self.heap[i].count >= self.heap[(i - 1) / 2].count,
+                "heap violated at {i}"
+            );
         }
         for (ci, &hp) in self.heap_pos.iter().enumerate() {
-            assert_eq!(self.heap[hp], ci);
+            let e = self.heap[hp as usize];
+            assert_eq!(e.ci as usize, ci);
+            assert_eq!(e.count.to_bits(), self.counters[ci].count.to_bits());
+            assert_eq!(self.index.get(self.counters[ci].item), Some(ci));
         }
+        assert_eq!(self.index.len, self.counters.len());
+    }
+}
+
+/// The checkpoint layout, field for field: capacity, counters, the heap as
+/// counter indices, `heap_pos`, the item → counter-index map, and the
+/// total. The map is written in counter order, so equal summaries write
+/// equal bytes.
+impl serde::Serialize for WeightedSpaceSaving {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::{SerializeMap, SerializeSeq, SerializeStruct};
+
+        /// A sequence of counter indices or heap positions, as `usize`.
+        struct Indices<'a, T>(&'a [T], fn(&T) -> u32);
+        impl<T> serde::Serialize for Indices<'_, T> {
+            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                let mut seq = s.serialize_seq(Some(self.0.len()))?;
+                for x in self.0 {
+                    seq.serialize_element(&((self.1)(x) as usize))?;
+                }
+                seq.end()
+            }
+        }
+        struct ItemMap<'a>(&'a [HhCounter]);
+        impl serde::Serialize for ItemMap<'_> {
+            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+                let mut map = s.serialize_map(Some(self.0.len()))?;
+                for (ci, c) in self.0.iter().enumerate() {
+                    map.serialize_key(&c.item)?;
+                    map.serialize_value(&ci)?;
+                }
+                map.end()
+            }
+        }
+
+        let mut st = serializer.serialize_struct("WeightedSpaceSaving", 6)?;
+        st.serialize_field("capacity", &self.capacity)?;
+        st.serialize_field("counters", &self.counters)?;
+        st.serialize_field("heap", &Indices(&self.heap, |e| e.ci))?;
+        st.serialize_field("heap_pos", &Indices(&self.heap_pos, |&p| p))?;
+        st.serialize_field("index", &ItemMap(&self.counters))?;
+        st.serialize_field("total", &self.total)?;
+        st.end()
+    }
+}
+
+/// [`WeightedSpaceSaving`]'s checkpoint layout as decoded. A map is encoded
+/// as its length and its (key, value) pairs, which is the encoding of a
+/// sequence of pairs, so `index` keeps duplicate keys for validation.
+#[derive(serde::Deserialize)]
+struct WeightedSpaceSavingWire {
+    capacity: usize,
+    counters: Vec<HhCounter>,
+    heap: Vec<usize>,
+    heap_pos: Vec<usize>,
+    index: Vec<(u64, usize)>,
+    total: f64,
+}
+
+impl TryFrom<WeightedSpaceSavingWire> for WeightedSpaceSaving {
+    type Error = String;
+
+    /// Checks the decoded layout and rebuilds the summary. Lengths, ranges
+    /// and the heap are checked before anything is allocated, and every
+    /// allocation follows the decoded length, never the decoded `capacity`.
+    fn try_from(w: WeightedSpaceSavingWire) -> Result<Self, String> {
+        let len = w.counters.len();
+        if w.capacity == 0 || w.capacity > MAX_CAPACITY {
+            return Err(format!("SpaceSaving capacity {} out of range", w.capacity));
+        }
+        if len > w.capacity {
+            return Err(format!(
+                "{len} SpaceSaving counters exceed capacity {}",
+                w.capacity
+            ));
+        }
+        if w.heap.len() != len || w.heap_pos.len() != len || w.index.len() != len {
+            return Err(format!(
+                "SpaceSaving layout lengths disagree: {len} counters, heap {}, heap_pos {}, index {}",
+                w.heap.len(),
+                w.heap_pos.len(),
+                w.index.len()
+            ));
+        }
+        // `heap_pos[heap[p]] == p` for every position makes `heap` a
+        // permutation and `heap_pos` its inverse.
+        for (p, &ci) in w.heap.iter().enumerate() {
+            if ci >= len || w.heap_pos[ci] != p {
+                return Err(format!("SpaceSaving heap position {p} inconsistent"));
+            }
+        }
+        for p in 1..len {
+            if w.counters[w.heap[p]].count < w.counters[w.heap[(p - 1) / 2]].count {
+                return Err(format!("SpaceSaving heap order violated at {p}"));
+            }
+        }
+        for &(item, ci) in &w.index {
+            if ci >= len || w.counters[ci].item != item {
+                return Err(format!(
+                    "SpaceSaving index entry {item} → {ci} inconsistent"
+                ));
+            }
+        }
+
+        let mut index = ItemIndex::with_room_for(len);
+        for (ci, c) in w.counters.iter().enumerate() {
+            if !index.insert(c.item, ci as u32) {
+                return Err(format!("SpaceSaving item {} monitored twice", c.item));
+            }
+        }
+        // Every entry matches its counter and the counter items are
+        // distinct, so the map agrees with the counters once no counter is
+        // named twice.
+        let mut seen = vec![false; len];
+        for &(_, ci) in &w.index {
+            if std::mem::replace(&mut seen[ci], true) {
+                return Err(format!("SpaceSaving index names counter {ci} twice"));
+            }
+        }
+        let heap = w
+            .heap
+            .iter()
+            .map(|&ci| HeapEntry {
+                count: w.counters[ci].count,
+                ci: ci as u32,
+            })
+            .collect();
+        Ok(Self {
+            capacity: w.capacity,
+            counters: w.counters,
+            heap,
+            heap_pos: w.heap_pos.iter().map(|&p| p as u32).collect(),
+            index,
+            total: w.total,
+        })
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for WeightedSpaceSaving {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = WeightedSpaceSavingWire::deserialize(deserializer)?;
+        Self::try_from(wire).map_err(<D::Error as serde::de::Error>::custom)
     }
 }
 
@@ -295,49 +617,54 @@ impl Mergeable for WeightedSpaceSaving {
     /// estimates for the union of monitored items (an item absent from one
     /// summary contributes that summary's minimum count as additional
     /// error), keep the heaviest `capacity`. The merged error stays within
-    /// `ε(W₁ + W₂)`.
+    /// `ε(W₁ + W₂)`. Equal counts are ordered by ascending item, so the
+    /// merge is deterministic.
     fn merge_from(&mut self, other: &Self) {
         assert_eq!(self.capacity, other.capacity, "capacities must match");
         let min_self = self.min_count();
         let min_other = other.min_count();
-        let mut merged: HashMap<u64, HhCounter> = HashMap::with_capacity(self.len() + other.len());
+        let mut all: Vec<HhCounter> = Vec::with_capacity(self.len() + other.len());
         for c in &self.counters {
-            merged.insert(c.item, *c);
+            all.push(match other.estimate(c.item) {
+                Some(o) => HhCounter {
+                    item: c.item,
+                    count: c.count + o.count,
+                    error: c.error + o.error,
+                },
+                // The item may have occurred in `other` with weight up to
+                // min_other without being monitored.
+                None => HhCounter {
+                    item: c.item,
+                    count: c.count + min_other,
+                    error: c.error + min_other,
+                },
+            });
         }
         for c in &other.counters {
-            merged
-                .entry(c.item)
-                .and_modify(|m| {
-                    m.count += c.count;
-                    m.error += c.error;
-                })
-                .or_insert(HhCounter {
+            if self.index.get(c.item).is_none() {
+                all.push(HhCounter {
                     item: c.item,
-                    // The item may have occurred in `self` with weight up to
-                    // min_self without being monitored.
                     count: c.count + min_self,
                     error: c.error + min_self,
                 });
-        }
-        for m in merged.values_mut() {
-            if self.index.contains_key(&m.item) && !other.index.contains_key(&m.item) {
-                m.count += min_other;
-                m.error += min_other;
             }
         }
-        let mut all: Vec<HhCounter> = merged.into_values().collect();
-        all.sort_by(|a, b| b.count.total_cmp(&a.count));
+        all.sort_by(|a, b| b.count.total_cmp(&a.count).then(a.item.cmp(&b.item)));
         all.truncate(self.capacity);
 
         let total = self.total + other.total;
-        *self = Self::new(self.capacity);
+        // Sized by the merged length: `capacity` may come from a checkpoint.
+        *self = Self::with_parts(self.capacity, all.len());
         self.total = total;
         for (ci, c) in all.into_iter().enumerate() {
             self.counters.push(c);
-            self.heap.push(ci);
-            self.heap_pos.push(ci);
-            self.index.insert(c.item, ci);
-            self.sift_up(self.heap.len() - 1);
+            self.heap.push(HeapEntry {
+                count: c.count,
+                ci: ci as u32,
+            });
+            self.heap_pos.push(ci as u32);
+            self.index.insert(c.item, ci as u32);
+            self.sift_up(ci);
         }
     }
 }
@@ -616,7 +943,7 @@ impl UnarySpaceSaving {
 impl Mergeable for UnarySpaceSaving {
     /// Merged by rebuilding: union the counters (as in
     /// [`WeightedSpaceSaving::merge_from`]) and reinsert the heaviest
-    /// `capacity` of them.
+    /// `capacity` of them, equal counts ordered by ascending item.
     fn merge_from(&mut self, other: &Self) {
         assert_eq!(self.capacity, other.capacity, "capacities must match");
         let collect = |s: &Self| -> Vec<(u64, u64, u64)> {
@@ -665,7 +992,7 @@ impl Mergeable for UnarySpaceSaving {
             .into_iter()
             .map(|(item, (c, e))| (item, c, e))
             .collect();
-        all.sort_by_key(|b| std::cmp::Reverse(b.1));
+        all.sort_by_key(|&(item, count, _)| (std::cmp::Reverse(count), item));
         all.truncate(self.capacity);
 
         let total = self.total + other.total;
@@ -1065,6 +1392,73 @@ mod tests {
             }
         }
         ss.check_heap_invariant();
+    }
+
+    #[test]
+    fn weighted_ss_size_bytes_counts_every_buffer() {
+        // counters 24 B, heap entries 16 B, positions 4 B per counter, and
+        // a probe table of 16 B slots, at most half full with one spare.
+        for (cap, slots) in [(1, 4), (1000, 2048), (1024, 4096)] {
+            let ss = WeightedSpaceSaving::new(cap);
+            assert_eq!(
+                ss.size_bytes(),
+                cap * (24 + 16 + 4) + slots * 16 + std::mem::size_of::<WeightedSpaceSaving>(),
+                "capacity {cap}"
+            );
+        }
+        // Filling the summary and evicting from it allocates nothing more.
+        let mut ss = WeightedSpaceSaving::new(1000);
+        let before = ss.size_bytes();
+        for i in 0..5000u64 {
+            ss.update(i, 1.0);
+        }
+        assert_eq!(ss.size_bytes(), before);
+    }
+
+    /// Two unit-weight summaries whose union has more tied items than the
+    /// capacity keeps.
+    fn tied_pair<S>(make: impl Fn() -> S, mut update: impl FnMut(&mut S, u64)) -> (S, S) {
+        let (mut a, mut b) = (make(), make());
+        for item in 0..4 {
+            update(&mut a, item);
+        }
+        for item in 10..14 {
+            update(&mut b, item);
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn weighted_ss_merge_is_deterministic_under_ties() {
+        let merged = || {
+            let (mut a, b) = tied_pair(|| WeightedSpaceSaving::new(4), |s, i| s.update(i, 1.0));
+            a.merge_from(&b);
+            a.check_heap_invariant();
+            (a.counters().to_vec(), a.heavy_hitters(0.0))
+        };
+        let first = merged();
+        let items: Vec<u64> = first.0.iter().map(|c| c.item).collect();
+        assert_eq!(items, vec![0, 1, 2, 3], "ties keep the smallest items");
+        for _ in 0..50 {
+            assert_eq!(merged(), first);
+        }
+    }
+
+    #[test]
+    fn unary_ss_merge_is_deterministic_under_ties() {
+        let merged = || {
+            let (mut a, b) = tied_pair(|| UnarySpaceSaving::new(4), |s, i| s.update(i));
+            a.merge_from(&b);
+            a.check_invariants();
+            a.heavy_hitters(0.0)
+        };
+        let first = merged();
+        let mut items: Vec<u64> = first.iter().map(|h| h.item).collect();
+        items.sort();
+        assert_eq!(items, vec![0, 1, 2, 3], "ties keep the smallest items");
+        for _ in 0..50 {
+            assert_eq!(merged(), first);
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use fd_core::hash::Mix64State;
+
 use crate::lfta::Lfta;
 use crate::tuple::{secs, Micros, Packet};
 use crate::udaf::{AggValue, Aggregator, Query};
@@ -83,13 +85,18 @@ pub struct ClosedGroup {
     pub agg: Box<dyn Aggregator>,
 }
 
+/// One bucket's groups: group key → high-level aggregate. Non-splittable
+/// aggregates look a group up here for every tuple, so the map hashes with
+/// [`Mix64State`] rather than SipHash.
+type GroupMap = HashMap<u64, Box<dyn Aggregator>, Mix64State>;
+
 /// A running instance of one continuous query.
 pub struct Engine {
     query: Query,
     lfta: Option<Lfta>,
     split: bool,
     /// bucket id → (group key → high-level aggregate).
-    buckets: BTreeMap<u64, HashMap<u64, Box<dyn Aggregator>>>,
+    buckets: BTreeMap<u64, GroupMap>,
     /// Closed rows awaiting collection.
     out: Vec<Row>,
     /// Closed raw state awaiting collection (state mode only).
@@ -233,7 +240,7 @@ impl Engine {
     }
 
     fn absorb_partial(
-        buckets: &mut BTreeMap<u64, HashMap<u64, Box<dyn Aggregator>>>,
+        buckets: &mut BTreeMap<u64, GroupMap>,
         query: &Query,
         bucket: u64,
         key: u64,

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use forward_decay::core::decay::{Exponential, ForwardDecay, Monomial};
+use forward_decay::core::decay::{Exponential, ForwardDecay, Monomial, NoDecay};
 use forward_decay::engine::prelude::*;
 use forward_decay::gen::TraceConfig;
 
@@ -254,5 +254,60 @@ fn space_per_group_ordering_matches_figure_2d() {
     assert!(
         eh > 50.0 * forward,
         "EH per-group space should be orders of magnitude above forward decay: {eh} bytes"
+    );
+}
+
+/// FNV-1a digest of every row's bucket, key and (item, value bits), in
+/// emission order: two runs agree on it only if they agree bit for bit,
+/// including the order of tied heavy hitters.
+fn rows_digest(rows: &[Row]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut put = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for r in rows {
+        put(r.bucket_start);
+        put(r.key);
+        for iv in r.value.as_items().expect("heavy-hitter rows") {
+            put(iv.item);
+            put(iv.value.to_bits());
+        }
+    }
+    h
+}
+
+#[test]
+fn fwd_hh_rows_match_golden_digest() {
+    // Small SpaceSaving capacities force evictions; NoDecay's unit weights
+    // force count ties, so the digest pins the eviction choice under ties.
+    // The digests were recorded from the SipHash-indexed implementation.
+    let packets = TraceConfig {
+        seed: 2024,
+        duration_secs: 90.0,
+        rate_pps: 5_000.0,
+        n_hosts: 400,
+        ..Default::default()
+    }
+    .generate();
+    let run = |agg: std::sync::Arc<dyn AggregatorFactory>| {
+        let q = Query::builder("hh_golden")
+            .filter(|p| p.proto == Proto::Tcp)
+            .group_by(|p| (p.dst_port % 4) as u64)
+            .bucket_secs(60)
+            .aggregate(agg)
+            .build();
+        rows_digest(&Engine::new(q).run(packets.iter().copied()))
+    };
+    let decayed = run(fwd_hh_factory(Monomial::quadratic(), 0.01, 0.02, |p| {
+        p.dst_host()
+    }));
+    let unit = run(fwd_hh_factory(NoDecay, 0.02, 0.01, |p| p.dst_host()));
+    assert_eq!(
+        (decayed, unit),
+        (10_356_521_099_286_149_524, 14_591_871_040_784_619_952),
+        "fwd_hh rows changed"
     );
 }
