@@ -276,7 +276,7 @@ fn ingress_scatter_secs(query: &Query, n_shards: usize, packets: &[Packet]) -> f
 }
 
 /// Measures the per-tuple cost of one fabric ingress producer's
-/// vectorized route-and-scatter stage (see [`ingress_scatter_secs`]),
+/// vectorized route-and-scatter stage (timed by `ingress_scatter_secs`),
 /// worker-free — the fabric-era counterpart of [`measure_dispatch_ns`],
 /// directly comparable with it.
 pub fn measure_ingress_ns(query: &Query, n_shards: usize, packets: &[Packet]) -> f64 {

@@ -25,7 +25,10 @@
 //! Forward-decayed aggregators receive the **bucket start as landmark**,
 //! exactly like the paper's `time % 60` idiom; simple forward-decayed
 //! aggregates are *splittable* across the two-level architecture, UDAF-style
-//! summaries run at the high level only (as in the paper's setup). Every
+//! summaries run at the high level only (as in the paper's setup). The
+//! eight splittable built-ins are defined by their per-group state type,
+//! which the engine's group store keeps inline ([`crate::lfta`]); their
+//! `make` boxes the same state for every other use. Every
 //! aggregator supports [`Aggregator::merge_boxed`], so per-shard partial
 //! buckets combine losslessly (Section VI-B: frozen numerators make forward
 //! decay summaries mergeable).
@@ -48,7 +51,8 @@ use fd_core::sampling::{
 };
 use fd_core::Mergeable;
 
-use crate::tuple::{self, Packet};
+use crate::lfta::{AggKind, GroupStore};
+use crate::tuple::{self, Micros, Packet};
 use crate::udaf::{AggValue, Aggregator, FnFactory, ItemValue};
 
 /// A value extractor: which numeric field of the tuple an aggregate sums.
@@ -107,243 +111,211 @@ macro_rules! inner_checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// Undecayed built-ins
+// Splittable built-ins: inline state kinds
 // ---------------------------------------------------------------------------
 
-struct CountAgg(u64);
+/// Wraps `kind` as a splittable factory: `make` boxes its state
+/// ([`KindAgg`]), and the engine's group store keeps it inline.
+fn builtin<K: AggKind>(name: &str, kind: K) -> Arc<FnFactory> {
+    let kind = Arc::new(kind);
+    let boxed = Arc::clone(&kind);
+    FnFactory::with_store(
+        name,
+        move |bucket_start| K::boxed(&boxed, boxed.make(bucket_start)),
+        move |query| GroupStore::inline(Arc::clone(&kind), query),
+    )
+}
 
-impl Aggregator for CountAgg {
-    fn update(&mut self, _: &Packet) {
-        self.0 += 1;
+/// Checkpoints an inline state through the serde codec: the same bytes
+/// the boxed adapters write.
+macro_rules! serde_state {
+    () => {
+        fn checkpoint_into(&self, s: &Self::State, out: &mut Vec<u8>) -> Option<()> {
+            fd_core::checkpoint::to_bytes_into(s, out).ok()
+        }
+        fn restore(
+            &self,
+            s: &mut Self::State,
+            bytes: &[u8],
+        ) -> Result<(), fd_core::checkpoint::CodecError> {
+            *s = fd_core::checkpoint::from_bytes(bytes)?;
+            Ok(())
+        }
+    };
+}
+
+struct Count;
+
+impl AggKind for Count {
+    type State = u64;
+    serde_state!();
+    fn make(&self, _: Micros) -> u64 {
+        0
     }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        self.0 += other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch")
-            .0;
+    fn update(&self, n: &mut u64, _: &Packet) {
+        *n += 1;
     }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Float(self.0 as f64)
+    fn merge(&self, n: &mut u64, other: u64) {
+        *n += other;
     }
-    fn size_bytes(&self) -> usize {
+    fn emit(&self, n: &u64, _t: f64) -> AggValue {
+        AggValue::Float(*n as f64)
+    }
+    fn size_bytes(&self, _: &u64) -> usize {
         // The paper: "Undecayed methods store 4 byte integers".
         4
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        fd_core::checkpoint::to_bytes(&self.0).ok()
-    }
-    fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        fd_core::checkpoint::to_bytes_into(&self.0, out).ok()
-    }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
-        self.0 = fd_core::checkpoint::from_bytes(bytes)?;
-        Ok(())
     }
 }
 
 /// Undecayed `count(*)` — the GSQL built-in of the paper's baseline query.
 pub fn count_factory() -> Arc<FnFactory> {
-    FnFactory::new("count", true, |_| Box::new(CountAgg(0)))
+    builtin("count", Count)
 }
 
-struct SumAgg {
-    sum: f64,
-    val: ValFn,
-}
+struct Sum(ValFn);
 
-impl Aggregator for SumAgg {
-    fn update(&mut self, pkt: &Packet) {
-        self.sum += (self.val)(pkt);
+impl AggKind for Sum {
+    type State = f64;
+    serde_state!();
+    fn make(&self, _: Micros) -> f64 {
+        0.0
     }
-    fn supports_scaled_updates(&self) -> bool {
+    fn update(&self, sum: &mut f64, pkt: &Packet) {
+        *sum += (self.0)(pkt);
+    }
+    fn supports_scaled(&self) -> bool {
         true
     }
-    fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        self.sum += (self.val)(pkt) * scale;
+    fn update_scaled(&self, sum: &mut f64, pkt: &Packet, scale: f64) {
+        *sum += (self.0)(pkt) * scale;
     }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        self.sum += other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch")
-            .sum;
+    fn merge(&self, sum: &mut f64, other: f64) {
+        *sum += other;
     }
-    fn emit(&self, _t: f64) -> AggValue {
-        AggValue::Float(self.sum)
+    fn emit(&self, sum: &f64, _t: f64) -> AggValue {
+        AggValue::Float(*sum)
     }
-    fn size_bytes(&self) -> usize {
+    fn size_bytes(&self, _: &f64) -> usize {
         4
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-    fn checkpoint(&self) -> Option<Vec<u8>> {
-        fd_core::checkpoint::to_bytes(&self.sum).ok()
-    }
-    fn checkpoint_into(&self, out: &mut Vec<u8>) -> Option<()> {
-        fd_core::checkpoint::to_bytes_into(&self.sum, out).ok()
-    }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), fd_core::checkpoint::CodecError> {
-        self.sum = fd_core::checkpoint::from_bytes(bytes)?;
-        Ok(())
     }
 }
 
 /// Undecayed `sum(expr)` over a tuple field.
 pub fn sum_factory(val: impl Fn(&Packet) -> f64 + Send + Sync + 'static) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("sum", true, move |_| {
-        Box::new(SumAgg {
-            sum: 0.0,
-            val: val.clone(),
-        })
-    })
+    builtin("sum", Sum(Arc::new(val)))
 }
 
-// ---------------------------------------------------------------------------
-// Forward-decayed scalar aggregates (splittable)
-// ---------------------------------------------------------------------------
+// Forward-decayed scalar aggregates: each kind holds the decay function `g`
+// and, where the aggregate reads a field, the extractor `val`; the landmark
+// of every state is its bucket start.
 
-/// Generates an adapter + factory for a forward-decayed scalar aggregate.
-macro_rules! fwd_scalar_agg {
-    ($agg:ident, $inner:ident, $factory:ident, $name:literal, update_t) => {
-        struct $agg<G: ForwardDecay> {
-            inner: $inner<G>,
-        }
-        impl<G: ForwardDecay> Aggregator for $agg<G> {
-            inner_checkpoint!();
-            fn update(&mut self, pkt: &Packet) {
-                self.inner.update(pkt.timestamp());
-            }
-            fn supports_scaled_updates(&self) -> bool {
-                true
-            }
-            fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-                self.inner.update_weighted(pkt.timestamp(), scale);
-            }
-            fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-                let o = other
-                    .as_any_box()
-                    .downcast::<Self>()
-                    .expect("aggregator type mismatch");
-                self.inner.merge_from(&o.inner);
-            }
-            fn emit(&self, t: f64) -> AggValue {
-                AggValue::Float(self.inner.query(t))
-            }
-            fn size_bytes(&self) -> usize {
-                // The paper: "forward decay stores 8 byte floating point
-                // values".
-                8
-            }
-            fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-        #[doc = concat!("Forward-decayed ", $name, " (Theorem 1); splittable across LFTA/HFTA.")]
-        pub fn $factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
-            FnFactory::new($name, true, move |bucket_start| {
-                Box::new($agg {
-                    inner: $inner::new(g.clone(), tuple::timestamp(bucket_start)),
-                })
-            })
-        }
-    };
-    ($agg:ident, $inner:ident, $factory:ident, $name:literal, update_tv) => {
-        struct $agg<G: ForwardDecay> {
-            inner: $inner<G>,
-            val: ValFn,
-        }
-        impl<G: ForwardDecay> Aggregator for $agg<G> {
-            inner_checkpoint!();
-            fn update(&mut self, pkt: &Packet) {
-                self.inner.update(pkt.timestamp(), (self.val)(pkt));
-            }
-            fn supports_scaled_updates(&self) -> bool {
-                true
-            }
-            fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-                self.inner
-                    .update_weighted(pkt.timestamp(), (self.val)(pkt), scale);
-            }
-            fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-                let o = other
-                    .as_any_box()
-                    .downcast::<Self>()
-                    .expect("aggregator type mismatch");
-                self.inner.merge_from(&o.inner);
-            }
-            fn emit(&self, t: f64) -> AggValue {
-                AggValue::Float(self.inner.query(t))
-            }
-            fn size_bytes(&self) -> usize {
-                8
-            }
-            fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-        #[doc = concat!("Forward-decayed ", $name, " over a tuple field (Theorem 1); splittable.")]
-        pub fn $factory<G: ForwardDecay>(
-            g: G,
-            val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
-        ) -> Arc<FnFactory> {
-            let val: ValFn = Arc::new(val);
-            FnFactory::new($name, true, move |bucket_start| {
-                Box::new($agg {
-                    inner: $inner::new(g.clone(), tuple::timestamp(bucket_start)),
-                    val: val.clone(),
-                })
-            })
-        }
-    };
+struct FwdCount<G>(G);
+
+impl<G: ForwardDecay> AggKind for FwdCount<G> {
+    type State = DecayedCount<G>;
+    serde_state!();
+    fn make(&self, bucket_start: Micros) -> Self::State {
+        DecayedCount::new(self.0.clone(), tuple::timestamp(bucket_start))
+    }
+    fn update(&self, s: &mut Self::State, pkt: &Packet) {
+        s.update(pkt.timestamp());
+    }
+    fn supports_scaled(&self) -> bool {
+        true
+    }
+    fn update_scaled(&self, s: &mut Self::State, pkt: &Packet, scale: f64) {
+        s.update_weighted(pkt.timestamp(), scale);
+    }
+    fn merge(&self, s: &mut Self::State, other: Self::State) {
+        s.merge_from(&other);
+    }
+    fn emit(&self, s: &Self::State, t: f64) -> AggValue {
+        AggValue::Float(s.query(t))
+    }
+    fn size_bytes(&self, _: &Self::State) -> usize {
+        // The paper: "forward decay stores 8 byte floating point values".
+        8
+    }
 }
 
-fwd_scalar_agg!(
-    FwdCountAgg,
-    DecayedCount,
-    fwd_count_factory,
-    "fwd_count",
-    update_t
-);
-fwd_scalar_agg!(FwdSumAgg, DecayedSum, fwd_sum_factory, "fwd_sum", update_tv);
+/// Forward-decayed count (Theorem 1); splittable across LFTA/HFTA.
+pub fn fwd_count_factory<G: ForwardDecay>(g: G) -> Arc<FnFactory> {
+    builtin("fwd_count", FwdCount(g))
+}
 
-struct FwdAvgAgg<G: ForwardDecay> {
-    inner: DecayedAverage<G>,
+struct FwdSum<G> {
+    g: G,
     val: ValFn,
 }
 
-impl<G: ForwardDecay> Aggregator for FwdAvgAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
+impl<G: ForwardDecay> AggKind for FwdSum<G> {
+    type State = DecayedSum<G>;
+    serde_state!();
+    fn make(&self, bucket_start: Micros) -> Self::State {
+        DecayedSum::new(self.g.clone(), tuple::timestamp(bucket_start))
     }
-    fn supports_scaled_updates(&self) -> bool {
+    fn update(&self, s: &mut Self::State, pkt: &Packet) {
+        s.update(pkt.timestamp(), (self.val)(pkt));
+    }
+    fn supports_scaled(&self) -> bool {
         true
     }
-    fn update_scaled(&mut self, pkt: &Packet, scale: f64) {
-        self.inner
-            .update_weighted(pkt.timestamp(), (self.val)(pkt), scale);
+    fn update_scaled(&self, s: &mut Self::State, pkt: &Packet, scale: f64) {
+        s.update_weighted(pkt.timestamp(), (self.val)(pkt), scale);
     }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
+    fn merge(&self, s: &mut Self::State, other: Self::State) {
+        s.merge_from(&other);
     }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t).unwrap_or(f64::NAN))
+    fn emit(&self, s: &Self::State, t: f64) -> AggValue {
+        AggValue::Float(s.query(t))
     }
-    fn size_bytes(&self) -> usize {
+    fn size_bytes(&self, _: &Self::State) -> usize {
+        8
+    }
+}
+
+/// Forward-decayed sum over a tuple field (Theorem 1); splittable.
+pub fn fwd_sum_factory<G: ForwardDecay>(
+    g: G,
+    val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
+) -> Arc<FnFactory> {
+    builtin(
+        "fwd_sum",
+        FwdSum {
+            g,
+            val: Arc::new(val),
+        },
+    )
+}
+
+struct FwdAvg<G> {
+    g: G,
+    val: ValFn,
+}
+
+impl<G: ForwardDecay> AggKind for FwdAvg<G> {
+    type State = DecayedAverage<G>;
+    serde_state!();
+    fn make(&self, bucket_start: Micros) -> Self::State {
+        DecayedAverage::new(self.g.clone(), tuple::timestamp(bucket_start))
+    }
+    fn update(&self, s: &mut Self::State, pkt: &Packet) {
+        s.update(pkt.timestamp(), (self.val)(pkt));
+    }
+    fn supports_scaled(&self) -> bool {
+        true
+    }
+    fn update_scaled(&self, s: &mut Self::State, pkt: &Packet, scale: f64) {
+        s.update_weighted(pkt.timestamp(), (self.val)(pkt), scale);
+    }
+    fn merge(&self, s: &mut Self::State, other: Self::State) {
+        s.merge_from(&other);
+    }
+    fn emit(&self, s: &Self::State, t: f64) -> AggValue {
+        AggValue::Float(s.query(t).unwrap_or(f64::NAN))
+    }
+    fn size_bytes(&self, _: &Self::State) -> usize {
         16
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -352,40 +324,37 @@ pub fn fwd_avg_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_avg", true, move |bucket_start| {
-        Box::new(FwdAvgAgg {
-            inner: DecayedAverage::new(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
-    })
+    builtin(
+        "fwd_avg",
+        FwdAvg {
+            g,
+            val: Arc::new(val),
+        },
+    )
 }
 
-struct FwdVarAgg<G: ForwardDecay> {
-    inner: DecayedVariance<G>,
+struct FwdVar<G> {
+    g: G,
     val: ValFn,
 }
 
-impl<G: ForwardDecay> Aggregator for FwdVarAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
+impl<G: ForwardDecay> AggKind for FwdVar<G> {
+    type State = DecayedVariance<G>;
+    serde_state!();
+    fn make(&self, bucket_start: Micros) -> Self::State {
+        DecayedVariance::new(self.g.clone(), tuple::timestamp(bucket_start))
     }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
+    fn update(&self, s: &mut Self::State, pkt: &Packet) {
+        s.update(pkt.timestamp(), (self.val)(pkt));
     }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t).unwrap_or(f64::NAN))
+    fn merge(&self, s: &mut Self::State, other: Self::State) {
+        s.merge_from(&other);
     }
-    fn size_bytes(&self) -> usize {
+    fn emit(&self, s: &Self::State, t: f64) -> AggValue {
+        AggValue::Float(s.query(t).unwrap_or(f64::NAN))
+    }
+    fn size_bytes(&self, _: &Self::State) -> usize {
         24
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -394,40 +363,43 @@ pub fn fwd_var_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_var", true, move |bucket_start| {
-        Box::new(FwdVarAgg {
-            inner: DecayedVariance::new(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
-    })
+    builtin(
+        "fwd_var",
+        FwdVar {
+            g,
+            val: Arc::new(val),
+        },
+    )
 }
 
-struct FwdExtAgg<G: ForwardDecay> {
-    inner: DecayedExtremum<G>,
+struct FwdExt<G> {
+    g: G,
     val: ValFn,
+    max: bool,
 }
 
-impl<G: ForwardDecay> Aggregator for FwdExtAgg<G> {
-    inner_checkpoint!();
-    fn update(&mut self, pkt: &Packet) {
-        self.inner.update(pkt.timestamp(), (self.val)(pkt));
+impl<G: ForwardDecay> AggKind for FwdExt<G> {
+    type State = DecayedExtremum<G>;
+    serde_state!();
+    fn make(&self, bucket_start: Micros) -> Self::State {
+        let (g, landmark) = (self.g.clone(), tuple::timestamp(bucket_start));
+        if self.max {
+            DecayedExtremum::max(g, landmark)
+        } else {
+            DecayedExtremum::min(g, landmark)
+        }
     }
-    fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
-        let o = other
-            .as_any_box()
-            .downcast::<Self>()
-            .expect("aggregator type mismatch");
-        self.inner.merge_from(&o.inner);
+    fn update(&self, s: &mut Self::State, pkt: &Packet) {
+        s.update(pkt.timestamp(), (self.val)(pkt));
     }
-    fn emit(&self, t: f64) -> AggValue {
-        AggValue::Float(self.inner.query(t).map(|(v, _, _)| v).unwrap_or(f64::NAN))
+    fn merge(&self, s: &mut Self::State, other: Self::State) {
+        s.merge_from(&other);
     }
-    fn size_bytes(&self) -> usize {
+    fn emit(&self, s: &Self::State, t: f64) -> AggValue {
+        AggValue::Float(s.query(t).map(|(v, _, _)| v).unwrap_or(f64::NAN))
+    }
+    fn size_bytes(&self, _: &Self::State) -> usize {
         24
-    }
-    fn as_any_box(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -436,13 +408,8 @@ pub fn fwd_max_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_max", true, move |bucket_start| {
-        Box::new(FwdExtAgg {
-            inner: DecayedExtremum::max(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
-    })
+    let val = Arc::new(val);
+    builtin("fwd_max", FwdExt { g, val, max: true })
 }
 
 /// Forward-decayed minimum of a tuple field (Definition 6); splittable.
@@ -450,13 +417,8 @@ pub fn fwd_min_factory<G: ForwardDecay>(
     g: G,
     val: impl Fn(&Packet) -> f64 + Send + Sync + 'static,
 ) -> Arc<FnFactory> {
-    let val: ValFn = Arc::new(val);
-    FnFactory::new("fwd_min", true, move |bucket_start| {
-        Box::new(FwdExtAgg {
-            inner: DecayedExtremum::min(g.clone(), tuple::timestamp(bucket_start)),
-            val: val.clone(),
-        })
-    })
+    let val = Arc::new(val);
+    builtin("fwd_min", FwdExt { g, val, max: false })
 }
 
 // ---------------------------------------------------------------------------

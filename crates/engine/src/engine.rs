@@ -1,23 +1,30 @@
 //! The query execution pipeline: selection → (LFTA) → HFTA → output rows.
 //!
 //! Mirrors Gigascope's two-level architecture (Section VIII of the paper):
-//! splittable aggregates are partially aggregated in the fixed-size
-//! low-level table ([`crate::lfta::Lfta`]) and combined in the high-level
-//! hash map here; non-splittable aggregates (the UDAFs, "written to run at
-//! the high-level only") receive raw tuples directly. Figure 2(b) of the
-//! paper disables the split — [`crate::udaf::QueryBuilder::two_level`]
-//! reproduces that ablation.
+//! splittable aggregates are partially aggregated in a fixed-size
+//! low-level table (LFTA) and combined in the high-level group map (HFTA);
+//! non-splittable aggregates (the UDAFs, "written to run at the high-level
+//! only") receive raw tuples directly. Figure 2(b) of the paper disables
+//! the split — [`crate::udaf::QueryBuilder::two_level`] reproduces that
+//! ablation.
+//!
+//! Both levels live in the query's [`GroupStore`](crate::lfta::GroupStore),
+//! which the aggregate's factory builds: the splittable built-ins keep
+//! their per-group state inline, everything else keeps a
+//! `Box<dyn Aggregator>` per group (see [`crate::lfta`] for the layout,
+//! in-place LFTA eviction, the HFTA sub-maps and the bit-identity rule for
+//! the two instantiations). The engine does admission — selection, time
+//! bucket, late drops, watermark — and bucket close.
 //!
 //! Time buckets close when the watermark (largest timestamp seen) passes the
 //! bucket end plus the query's out-of-order slack — the engine's stand-in
-//! for GS's punctuation/heartbeat mechanism.
+//! for GS's punctuation/heartbeat mechanism. The per-tuple control is kept
+//! cheap: the bucket id is reused while timestamps stay inside the current
+//! bucket, and the close check runs only once the watermark reaches the
+//! next close threshold.
 
-use std::collections::{BTreeMap, HashMap};
-
-use fd_core::hash::Mix64State;
-
-use crate::lfta::Lfta;
-use crate::tuple::{secs, Micros, Packet};
+use crate::lfta::{Closed, Store};
+use crate::tuple::{Micros, Packet};
 use crate::udaf::{AggValue, Aggregator, Query};
 
 /// One output row of a continuous query: a closed (bucket, group) with its
@@ -85,18 +92,11 @@ pub struct ClosedGroup {
     pub agg: Box<dyn Aggregator>,
 }
 
-/// One bucket's groups: group key → high-level aggregate. Non-splittable
-/// aggregates look a group up here for every tuple, so the map hashes with
-/// [`Mix64State`] rather than SipHash.
-type GroupMap = HashMap<u64, Box<dyn Aggregator>, Mix64State>;
-
 /// A running instance of one continuous query.
 pub struct Engine {
     query: Query,
-    lfta: Option<Lfta>,
-    split: bool,
-    /// bucket id → (group key → high-level aggregate).
-    buckets: BTreeMap<u64, GroupMap>,
+    /// Both levels of group state (see [`crate::lfta`]).
+    store: Box<dyn Store>,
     /// Closed rows awaiting collection.
     out: Vec<Row>,
     /// Closed raw state awaiting collection (state mode only).
@@ -104,6 +104,14 @@ pub struct Engine {
     watermark: Micros,
     /// Buckets at ids below this are closed.
     closed_below: u64,
+    /// The watermark from which the next bucket can close:
+    /// `(closed_below + 1) · bucket + slack`, saturating. Derived from
+    /// `closed_below`, never serialized.
+    next_close: Micros,
+    /// The bucket of the last admitted timestamp and its start, so a
+    /// tuple inside it skips the division.
+    cur_bucket: u64,
+    cur_start: Micros,
     stats: EngineStats,
     /// Size of the last [`Engine::checkpoint`] blob, used to pre-size the
     /// next one (supervised workers checkpoint on their critical path, so
@@ -114,20 +122,22 @@ pub struct Engine {
 impl Engine {
     /// Instantiates the query.
     pub fn new(query: Query) -> Self {
-        let split = query.two_level && query.aggregate.splittable();
-        let lfta = split.then(|| Lfta::new(query.lfta_slots));
-        Self {
+        let store = query.aggregate.group_store(&query).0;
+        let mut e = Self {
             query,
-            lfta,
-            split,
-            buckets: BTreeMap::new(),
+            store,
             out: Vec::new(),
             closed_state: None,
             watermark: 0,
             closed_below: 0,
+            next_close: 0,
+            cur_bucket: 0,
+            cur_start: 0,
             stats: EngineStats::default(),
             last_ckpt_bytes: std::cell::Cell::new(64 * 1024),
-        }
+        };
+        e.next_close = e.close_threshold();
+        e
     }
 
     /// Switches the engine to *state mode*: closed buckets retain their raw
@@ -148,7 +158,7 @@ impl Engine {
 
     /// Whether the two-level split is active for this query.
     pub fn is_split(&self) -> bool {
-        self.split
+        self.store.lfta().is_some()
     }
 
     /// The query's display name.
@@ -158,105 +168,76 @@ impl Engine {
 
     /// Offers one tuple to the query.
     pub fn process(&mut self, pkt: &Packet) {
-        self.stats.tuples_in += 1;
-        if let Some(f) = &self.query.filter {
-            if !f(pkt) {
-                self.stats.filtered += 1;
-                return;
-            }
+        if let Some((bucket, key)) = self.admit(pkt) {
+            self.store.update(bucket, key, pkt);
+            self.after_admit();
         }
-        let bucket = pkt.ts / self.query.bucket_micros;
-        if bucket < self.closed_below {
-            self.stats.late_drops += 1;
-            return;
-        }
-        self.watermark = self.watermark.max(pkt.ts);
-        let key = (self.query.group_by)(pkt);
-        let bucket_start = bucket * self.query.bucket_micros;
-        if let Some(lfta) = &mut self.lfta {
-            if let Some(partial) = lfta.update(
-                key,
-                bucket,
-                pkt,
-                self.query.aggregate.as_ref(),
-                bucket_start,
-            ) {
-                self.stats.lfta_evictions += 1;
-                Self::absorb_partial(
-                    &mut self.buckets,
-                    &self.query,
-                    partial.bucket,
-                    partial.key,
-                    partial.agg,
-                );
-            }
-        } else {
-            let agg = self
-                .buckets
-                .entry(bucket)
-                .or_default()
-                .entry(key)
-                .or_insert_with(|| self.query.aggregate.make(bucket_start));
-            agg.update(pkt);
-        }
-        self.maybe_close_buckets();
     }
 
     /// Offers one tuple carrying a Horvitz–Thompson scale (the `1/p`
     /// inverse-inclusion-probability weight attached by decay-aware load
     /// shedding). A unit scale is exactly [`process`](Engine::process);
     /// non-unit scales take the direct high-level path, bypassing the
-    /// LFTA — its direct-mapped slots carry no scale column. High-level
-    /// groups absorb LFTA partials through the same merge
-    /// ([`absorb_partial`](Self::absorb_partial)), so mixing scaled and
+    /// LFTA — its direct-mapped slots carry no scale column. LFTA partials
+    /// reach the same high-level groups by merging, so mixing scaled and
     /// unscaled tuples within a bucket stays correct.
     pub fn process_scaled(&mut self, pkt: &Packet, scale: f64) {
         if scale == 1.0 {
             return self.process(pkt);
         }
+        if let Some((bucket, key)) = self.admit(pkt) {
+            self.store.update_scaled(bucket, key, pkt, scale);
+            self.after_admit();
+        }
+    }
+
+    /// Counts the tuple and runs selection, bucketing and the late-drop
+    /// check; returns its `(bucket, group key)` if it is to be applied.
+    #[inline]
+    fn admit(&mut self, pkt: &Packet) -> Option<(u64, u64)> {
         self.stats.tuples_in += 1;
         if let Some(f) = &self.query.filter {
             if !f(pkt) {
                 self.stats.filtered += 1;
-                return;
+                return None;
             }
         }
-        let bucket = pkt.ts / self.query.bucket_micros;
+        let bucket = self.bucket_of(pkt.ts);
         if bucket < self.closed_below {
             self.stats.late_drops += 1;
-            return;
+            return None;
         }
         self.watermark = self.watermark.max(pkt.ts);
-        let key = (self.query.group_by)(pkt);
-        let bucket_start = bucket * self.query.bucket_micros;
-        let agg = self
-            .buckets
-            .entry(bucket)
-            .or_default()
-            .entry(key)
-            .or_insert_with(|| self.query.aggregate.make(bucket_start));
-        agg.update_scaled(pkt, scale);
-        self.maybe_close_buckets();
+        Some((bucket, (self.query.group_by)(pkt)))
     }
 
-    fn absorb_partial(
-        buckets: &mut BTreeMap<u64, GroupMap>,
-        query: &Query,
-        bucket: u64,
-        key: u64,
-        agg: Box<dyn Aggregator>,
-    ) {
-        let bucket_start = bucket * query.bucket_micros;
-        match buckets.entry(bucket).or_default().entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge_boxed(agg),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                // First partial for the group: it IS the high-level state,
-                // but create-and-merge keeps the code path uniform.
-                let mut fresh = query.aggregate.make(bucket_start);
-                fresh.merge_boxed(agg);
-                e.insert(fresh);
-            }
+    /// `ts / bucket_micros`, reusing the last bucket while `ts` stays in it.
+    #[inline]
+    fn bucket_of(&mut self, ts: Micros) -> u64 {
+        let width = self.query.bucket_micros;
+        if ts >= self.cur_start && ts - self.cur_start < width {
+            return self.cur_bucket;
         }
+        self.cur_bucket = ts / width;
+        self.cur_start = self.cur_bucket * width;
+        self.cur_bucket
+    }
+
+    #[inline]
+    fn after_admit(&mut self) {
+        if self.watermark >= self.next_close {
+            self.maybe_close_buckets();
+        }
+    }
+
+    /// The smallest watermark at which `maybe_close_buckets` can find a
+    /// bucket to close. Saturating: past `u64::MAX` no watermark closes
+    /// another bucket, and a saturated threshold only costs a spare check.
+    fn close_threshold(&self) -> Micros {
+        self.closed_below
+            .saturating_add(1)
+            .saturating_mul(self.query.bucket_micros)
+            .saturating_add(self.query.slack_micros)
     }
 
     /// Closes every bucket whose end + slack has been passed by the
@@ -265,57 +246,32 @@ impl Engine {
     fn maybe_close_buckets(&mut self) {
         let horizon = self.watermark.saturating_sub(self.query.slack_micros);
         let target = horizon / self.query.bucket_micros;
-        if target <= self.closed_below {
-            return;
+        if target > self.closed_below {
+            self.close(Some(target));
+            self.closed_below = target;
         }
-        if let Some(lfta) = &mut self.lfta {
-            for p in lfta.flush_below(target) {
-                Self::absorb_partial(&mut self.buckets, &self.query, p.bucket, p.key, p.agg);
-            }
-        }
-        while let Some((&b, _)) = self.buckets.iter().next() {
-            if b >= target {
-                break;
-            }
-            self.close_bucket(b);
-        }
-        self.closed_below = target;
+        self.next_close = self.close_threshold();
     }
 
-    fn close_bucket(&mut self, bucket: u64) {
-        let Some(groups) = self.buckets.remove(&bucket) else {
-            return;
+    /// Closes the buckets below `below` (all when `None`) into rows or, in
+    /// state mode, raw state. Returns the last bucket closed.
+    fn close(&mut self, below: Option<u64>) -> Option<u64> {
+        let rows_before = self.out.len();
+        let out = match &mut self.closed_state {
+            Some(state) => Closed::State(state),
+            None => Closed::Rows(&mut self.out),
         };
-        self.stats.buckets_closed += 1;
-        if let Some(state) = &mut self.closed_state {
-            let mut closed: Vec<ClosedGroup> = groups
-                .into_iter()
-                .map(|(key, agg)| ClosedGroup { bucket, key, agg })
-                .collect();
-            closed.sort_by_key(|c| c.key);
-            state.extend(closed);
-            return;
-        }
-        let bucket_start = bucket * self.query.bucket_micros;
-        let t_end = secs((bucket + 1) * self.query.bucket_micros);
-        let mut rows: Vec<Row> = groups
-            .into_iter()
-            .map(|(key, agg)| Row {
-                bucket_start,
-                key,
-                value: agg.emit(t_end),
-            })
-            .collect();
-        rows.sort_by_key(|r| r.key);
-        self.stats.rows_out += rows.len() as u64;
-        self.out.extend(rows);
+        let (closed, last) = self.store.close(below, out);
+        self.stats.buckets_closed += closed;
+        self.stats.rows_out += (self.out.len() - rows_before) as u64;
+        last
     }
 
     /// Processes a punctuation: advances the watermark to `ts` and closes
     /// every bucket whose end + slack it passes, without any data tuple.
     pub fn punctuate(&mut self, ts: Micros) {
         self.watermark = self.watermark.max(ts);
-        self.maybe_close_buckets();
+        self.after_admit();
     }
 
     /// Offers one stream element (data or control).
@@ -341,14 +297,9 @@ impl Engine {
     }
 
     fn close_all(&mut self) {
-        if let Some(lfta) = &mut self.lfta {
-            for p in lfta.flush_all() {
-                Self::absorb_partial(&mut self.buckets, &self.query, p.bucket, p.key, p.agg);
-            }
-        }
-        while let Some((&b, _)) = self.buckets.iter().next() {
-            self.close_bucket(b);
-            self.closed_below = self.closed_below.max(b + 1);
+        if let Some(last) = self.close(None) {
+            self.closed_below = self.closed_below.max(last.saturating_add(1));
+            self.next_close = self.close_threshold();
         }
     }
 
@@ -377,8 +328,8 @@ impl Engine {
     /// Execution counters so far.
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
-        if let Some(lfta) = &self.lfta {
-            s.lfta_evictions = lfta.evictions();
+        if let Some((_, evictions, _)) = self.store.lfta() {
+            s.lfta_evictions = evictions;
         }
         s
     }
@@ -386,7 +337,7 @@ impl Engine {
     /// Occupied LFTA slots right now; `None` in single-level mode. O(slots)
     /// — the shard workers sample it once per punctuation for telemetry.
     pub fn lfta_occupancy(&self) -> Option<usize> {
-        self.lfta.as_ref().map(Lfta::occupancy)
+        self.store.lfta_occupancy()
     }
 
     /// The current watermark (largest timestamp or punctuation seen), µs.
@@ -396,28 +347,14 @@ impl Engine {
 
     /// Current memory footprint of all live aggregation state.
     pub fn space_bytes(&self) -> usize {
-        let high: usize = self
-            .buckets
-            .values()
-            .flat_map(|g| g.values())
-            .map(|a| a.size_bytes())
-            .sum();
-        high + self.lfta.as_ref().map_or(0, Lfta::size_bytes)
+        self.store.space_bytes()
     }
 
     /// Average space per live group in bytes — the paper's Figure 2(d) /
     /// 4(c) metric. `None` when no groups are live.
     pub fn space_per_group(&self) -> Option<f64> {
-        let groups: Vec<usize> = self
-            .buckets
-            .values()
-            .flat_map(|g| g.values())
-            .map(|a| a.size_bytes())
-            .collect();
-        if groups.is_empty() {
-            return None;
-        }
-        Some(groups.iter().sum::<usize>() as f64 / groups.len() as f64)
+        let (bytes, groups) = self.store.group_space();
+        (groups > 0).then(|| bytes as f64 / groups as f64)
     }
 
     /// Serializes the engine's complete execution state — watermark, close
@@ -449,6 +386,7 @@ impl Engine {
         &self,
         out: &mut Vec<u8>,
     ) -> Result<(), fd_core::checkpoint::CodecError> {
+        use crate::udaf::write_framed;
         use fd_core::checkpoint::{put_u64, to_bytes_into, CodecError};
         let unsupported = || {
             CodecError::new(format!(
@@ -465,26 +403,15 @@ impl Engine {
         // blob so the result is one buffer, never recopied.
         let mut blob = std::mem::take(out);
         blob.clear();
-        put_u64(&mut blob, self.buckets.len() as u64);
-        for (&bucket, groups) in &self.buckets {
-            put_u64(&mut blob, bucket);
-            put_u64(&mut blob, groups.len() as u64);
-            let mut entries: Vec<(&u64, &Box<dyn Aggregator>)> = groups.iter().collect();
-            entries.sort_unstable_by_key(|&(&key, _)| key);
-            for (&key, agg) in entries {
-                put_u64(&mut blob, key);
-                crate::udaf::write_agg(&mut blob, agg.as_ref()).ok_or_else(unsupported)?;
-            }
-        }
-        if let Some(l) = &self.lfta {
-            l.snapshot_into(&mut blob).ok_or_else(unsupported)?;
-        }
+        self.store
+            .checkpoint_into(&mut blob)
+            .ok_or_else(unsupported)?;
         let closed_src: &[ClosedGroup] = self.closed_state.as_deref().unwrap_or(&[]);
         put_u64(&mut blob, closed_src.len() as u64);
         for g in closed_src {
             put_u64(&mut blob, g.bucket);
             put_u64(&mut blob, g.key);
-            crate::udaf::write_agg(&mut blob, g.agg.as_ref()).ok_or_else(unsupported)?;
+            write_framed(&mut blob, |out| g.agg.checkpoint_into(out)).ok_or_else(unsupported)?;
         }
         self.last_ckpt_bytes.set(blob.len());
         let header_start = blob.len();
@@ -492,12 +419,9 @@ impl Engine {
             &EngineHeader {
                 watermark: self.watermark,
                 closed_below: self.closed_below,
-                stats: self.stats,
+                stats: self.stats(),
                 state_mode: self.closed_state.is_some(),
-                lfta: self
-                    .lfta
-                    .as_ref()
-                    .map(|l| (l.n_slots() as u64, l.evictions(), l.updates())),
+                lfta: self.store.lfta(),
                 rows: self.out.clone(),
             },
             &mut blob,
@@ -532,43 +456,7 @@ impl Engine {
         let mut e = Engine::new(query);
         let factory = std::sync::Arc::clone(&e.query.aggregate);
         let bucket_micros = e.query.bucket_micros;
-        let n_buckets = r.u64()?;
-        for _ in 0..n_buckets {
-            let bucket = r.u64()?;
-            let n_groups = r.u64()?;
-            let bucket_start = bucket * bucket_micros;
-            let map = e.buckets.entry(bucket).or_default();
-            for _ in 0..n_groups {
-                let key = r.u64()?;
-                let len = r.u64()? as usize;
-                let mut agg = factory.make(bucket_start);
-                agg.restore(r.bytes(len)?)?;
-                map.insert(key, agg);
-            }
-        }
-        match (header.lfta, e.lfta.is_some()) {
-            (Some((n_slots, evictions, updates)), true) => {
-                e.lfta = Some(Lfta::restore_from(
-                    &mut r,
-                    n_slots,
-                    evictions,
-                    updates,
-                    factory.as_ref(),
-                    bucket_micros,
-                )?);
-            }
-            (None, false) => {}
-            (Some(_), false) => {
-                return Err(CodecError::new(
-                    "snapshot has an LFTA but the query is single-level",
-                ));
-            }
-            (None, true) => {
-                return Err(CodecError::new(
-                    "query is two-level but the snapshot has no LFTA",
-                ));
-            }
-        }
+        e.store.restore_from(&mut r, header.lfta)?;
         let n_closed = r.u64()?;
         if header.state_mode {
             let mut state = Vec::with_capacity(n_closed as usize);
@@ -589,6 +477,7 @@ impl Engine {
         }
         e.watermark = header.watermark;
         e.closed_below = header.closed_below;
+        e.next_close = e.close_threshold();
         e.stats = header.stats;
         e.out = header.rows;
         Ok(e)
@@ -614,6 +503,8 @@ struct EngineHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use crate::aggregators::{count_factory, fwd_count_factory};
     use crate::tuple::{Proto, MICROS_PER_SEC};
     use fd_core::decay::Monomial;
@@ -877,6 +768,243 @@ mod tests {
             b.process_scaled(&p, 1.0);
         }
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// The close rule the engine must keep, applied after every tuple with
+    /// no gating: `(bucket, key) → count` of the tuples applied, the late
+    /// drops, and how many buckets had closed after each tuple.
+    fn reference_closes(
+        stream: &[Packet],
+        bucket: Micros,
+        slack: Micros,
+    ) -> (BTreeMap<(u64, u64), f64>, u64, Vec<u64>) {
+        let (mut counts, mut late, mut closed_after) = (BTreeMap::new(), 0, Vec::new());
+        let (mut watermark, mut closed_below) = (0, 0);
+        for p in stream {
+            let b = p.ts / bucket;
+            if b < closed_below {
+                late += 1;
+            } else {
+                watermark = p.ts.max(watermark);
+                *counts.entry((b, p.dst_host())).or_insert(0.0) += 1.0;
+                closed_below = closed_below.max(watermark.saturating_sub(slack) / bucket);
+            }
+            closed_after.push(counts.keys().filter(|(b, _)| *b < closed_below).count() as u64);
+        }
+        (counts, late, closed_after)
+    }
+
+    #[test]
+    fn gated_closes_match_the_per_tuple_rule_out_of_order() {
+        // Timestamps jitter by up to ±7 s around a 1 s/tuple clock, so with
+        // 5 s of slack some tuples are late and buckets close mid-jitter.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let stream: Vec<Packet> = (0..3_000)
+            .map(|i| {
+                rng = fd_core::hash::mix64(rng);
+                let jitter = (rng % 14_000) as f64 / 1_000.0 - 7.0;
+                pkt((i as f64 * 0.1 + jitter).max(0.0), (rng >> 40) as u32 % 5)
+            })
+            .collect();
+        for two_level in [true, false] {
+            let q = Query::builder("slack")
+                .group_by(|p| p.dst_host())
+                .bucket_secs(10)
+                .slack_secs(5.0)
+                .aggregate(count_factory())
+                .two_level(two_level)
+                .lfta_slots(4)
+                .build();
+            let (want, late, closed_after) =
+                reference_closes(&stream, 10 * MICROS_PER_SEC, 5 * MICROS_PER_SEC);
+            assert!(late > 0, "the stream should produce late drops");
+            let mut e = Engine::new(q);
+            let mut rows = Vec::new();
+            for (p, &closed) in stream.iter().zip(&closed_after) {
+                e.process(p);
+                rows.extend(e.drain_rows());
+                assert_eq!(rows.len() as u64, closed, "rows closed after ts {}", p.ts);
+            }
+            rows.extend(e.finish());
+            let got: BTreeMap<(u64, u64), f64> = rows
+                .iter()
+                .map(|r| {
+                    (
+                        (r.bucket_start / (10 * MICROS_PER_SEC), r.key),
+                        r.value.as_float().unwrap(),
+                    )
+                })
+                .collect();
+            assert_eq!(got, want);
+            let s = e.stats();
+            assert_eq!(s.late_drops, late);
+            assert_eq!(
+                s.tuples_in,
+                s.filtered + s.late_drops + want.values().sum::<f64>() as u64
+            );
+        }
+    }
+
+    #[test]
+    fn punctuations_alone_close_buckets_and_later_data_drops() {
+        let mut e = Engine::new(count_query(true));
+        e.process(&pkt(10.0, 1));
+        // Below the close threshold (60 s): nothing closes.
+        e.punctuate(60 * MICROS_PER_SEC - 1);
+        assert!(e.drain_rows().is_empty());
+        e.punctuate(60 * MICROS_PER_SEC);
+        assert_eq!(e.drain_rows().len(), 1);
+        e.process(&pkt(70.0, 2));
+        // A punctuation far ahead closes several buckets at once, and one
+        // behind the watermark changes nothing.
+        e.punctuate(600 * MICROS_PER_SEC);
+        e.punctuate(0);
+        let rows = e.drain_rows();
+        assert_eq!((rows.len(), rows[0].key), (1, 2));
+        assert_eq!(e.stats().buckets_closed, 2);
+        e.process(&pkt(599.0, 3)); // bucket 9 closed at 600 s
+        e.process(&pkt(600.0, 3)); // bucket 10 is open
+        assert_eq!(e.stats().late_drops, 1);
+        let rows = e.finish();
+        assert_eq!(
+            (rows.len(), rows[0].bucket_start),
+            (1, 600 * MICROS_PER_SEC)
+        );
+    }
+
+    #[test]
+    fn restore_recomputes_the_close_threshold() {
+        let stream: Vec<Packet> = (0..2_000)
+            .map(|i| pkt(i as f64 * 0.1, (i % 13) as u32))
+            .collect();
+        let mut straight = Engine::new(count_query(true));
+        for p in &stream[..1_195] {
+            straight.process(p); // stops just short of the 120 s threshold
+        }
+        let blob = straight.checkpoint().expect("checkpoint");
+        let mut restored = Engine::restore(count_query(true), &blob).expect("restore");
+        assert_eq!(restored.next_close, straight.next_close);
+        assert_eq!(restored.checkpoint().expect("checkpoint"), blob);
+        for p in &stream[1_195..] {
+            straight.process(p);
+            restored.process(p);
+            assert_eq!(restored.drain_rows(), straight.drain_rows());
+        }
+        assert_eq!(restored.finish(), straight.finish());
+        assert_eq!(restored.stats(), straight.stats());
+    }
+
+    #[test]
+    fn bucket_ids_near_the_top_of_the_clock_saturate() {
+        let top = u64::MAX - 3;
+        let near_top = |two_level, width: Micros| {
+            let mut q = count_query(two_level);
+            q.bucket_micros = width;
+            let mut e = Engine::new(q);
+            let mut p = pkt(0.0, 1);
+            e.process(&p);
+            p.ts = top;
+            e.process(&p);
+            p.ts = u64::MAX;
+            e.process(&p);
+            e.punctuate(u64::MAX);
+            p.ts = 5;
+            e.process(&p); // bucket 0 closed long ago
+            let mut rows = e.drain_rows();
+            rows.extend(e.finish());
+            // After `finish` the topmost bucket drops too — except with
+            // 1 µs buckets, whose last id is u64::MAX: the close frontier
+            // saturates there, so that bucket can reopen.
+            p.ts = u64::MAX;
+            e.process(&p);
+            let s = e.stats();
+            assert_eq!(s.late_drops, if width == 1 { 1 } else { 2 });
+            assert_eq!(s.tuples_in, 5);
+            rows
+        };
+        for two_level in [true, false] {
+            let rows = near_top(two_level, 60 * MICROS_PER_SEC);
+            let last = u64::MAX / (60 * MICROS_PER_SEC) * (60 * MICROS_PER_SEC);
+            assert_eq!(rows.len(), 2);
+            assert_eq!(
+                (rows[1].bucket_start, rows[1].value.as_float()),
+                (last, Some(2.0))
+            );
+            // One-microsecond buckets: the last bucket id is u64::MAX.
+            let rows = near_top(two_level, 1);
+            assert_eq!(rows.len(), 3);
+            assert_eq!(rows[2].bucket_start, u64::MAX);
+        }
+    }
+
+    #[test]
+    fn every_admitted_tuple_is_filtered_late_or_applied() {
+        // An aggregate that counts every tuple it folds, scaled or not.
+        struct Applied(u64);
+        impl Aggregator for Applied {
+            fn update(&mut self, _: &Packet) {
+                self.0 += 1;
+            }
+            fn supports_scaled_updates(&self) -> bool {
+                true
+            }
+            fn update_scaled(&mut self, _: &Packet, _: f64) {
+                self.0 += 1;
+            }
+            fn merge_boxed(&mut self, other: Box<dyn Aggregator>) {
+                self.0 += other.as_any_box().downcast::<Self>().expect("type").0;
+            }
+            fn emit(&self, _: f64) -> AggValue {
+                AggValue::Float(self.0 as f64)
+            }
+            fn size_bytes(&self) -> usize {
+                8
+            }
+            fn as_any_box(self: Box<Self>) -> Box<dyn std::any::Any> {
+                self
+            }
+        }
+        for two_level in [true, false] {
+            let q = Query::builder("conservation")
+                .filter(|p| p.dst_ip % 4 != 0)
+                .group_by(|p| p.dst_host())
+                .bucket_secs(10)
+                .slack_secs(1.0)
+                .aggregate(crate::udaf::FnFactory::new("applied", true, |_| {
+                    Box::new(Applied(0))
+                }))
+                .two_level(two_level)
+                .lfta_slots(8)
+                .build();
+            let mut e = Engine::new(q);
+            let mut applied = 0.0;
+            for i in 0..5_000u64 {
+                let ts = (i as f64 * 0.05) - if i % 11 == 0 { 3.0 } else { 0.0 };
+                let p = pkt(ts.max(0.0), (i % 37) as u32);
+                match i % 3 {
+                    0 => e.process(&p),
+                    1 => e.process_scaled(&p, 4.0),
+                    _ => e.process_event(&StreamEvent::Data(p)),
+                }
+                if i % 500 == 0 {
+                    e.punctuate(p.ts);
+                }
+                applied += e
+                    .drain_rows()
+                    .iter()
+                    .map(|r| r.value.as_float().unwrap())
+                    .sum::<f64>();
+            }
+            applied += e
+                .finish()
+                .iter()
+                .map(|r| r.value.as_float().unwrap())
+                .sum::<f64>();
+            let s = e.stats();
+            assert!(s.filtered > 0 && s.late_drops > 0, "{s:?}");
+            assert_eq!(s.tuples_in, 5_000);
+            assert_eq!(s.tuples_in, s.filtered + s.late_drops + applied as u64);
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! - [`aggregators`] — ready-made aggregator factories wrapping every
 //!   fd-core summary, plus the undecayed built-ins (`count(*)`,
 //!   `sum(len)`) and the backward-decay baselines;
-//! - [`lfta`] — the low-level fixed-size direct-mapped aggregation table
-//!   with collision eviction;
+//! - [`lfta`] — the two-level group store: the low-level fixed-size
+//!   direct-mapped aggregation table with collision eviction and the
+//!   high-level group map, with per-group state inline for the splittable
+//!   built-ins;
 //! - [`engine`] — the full pipeline: two-level or single-level execution,
 //!   bucket close on watermark, per-tuple cost accounting;
 //! - [`shard`] — the sharded parallel engine: N worker threads, each a

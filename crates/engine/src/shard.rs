@@ -434,7 +434,7 @@ fn spawn_worker(
 }
 
 /// Per-(producer, shard) ring depth of the multi-producer ingress fabric.
-/// Shallower than the single-dispatcher ring ([`CHANNEL_DEPTH`]): each
+/// Shallower than the single-dispatcher ring (32 batches): each
 /// shard worker drains its `P` rings in strict rotation, so a producer
 /// can only ever run this many epochs ahead of the slowest producer —
 /// deep enough to absorb scheduling jitter, shallow enough to bound the

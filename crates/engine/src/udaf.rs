@@ -15,6 +15,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::lfta::GroupStore;
 use crate::tuple::{Micros, Packet, MICROS_PER_SEC};
 
 /// A single reported item with an associated value (a heavy hitter and its
@@ -184,14 +185,17 @@ pub trait Aggregator: Any + Send {
     }
 }
 
-/// Appends one length-prefixed aggregator checkpoint to `out` — the
-/// framing engine checkpoints use for each live group. Returns `None`
-/// (leaving a zero length behind is fine; the caller aborts the whole
-/// checkpoint) if the aggregator declines checkpointing.
-pub(crate) fn write_agg(out: &mut Vec<u8>, agg: &dyn Aggregator) -> Option<()> {
+/// Appends one length-prefixed checkpoint — the framing engine checkpoints
+/// use for each live group — with `write` producing the body. Returns
+/// `None` (leaving a zero length behind is fine; the caller aborts the
+/// whole checkpoint) if `write` declines.
+pub(crate) fn write_framed(
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>) -> Option<()>,
+) -> Option<()> {
     let len_pos = out.len();
     out.extend_from_slice(&0u64.to_le_bytes());
-    agg.checkpoint_into(out)?;
+    write(out)?;
     let len = (out.len() - len_pos - 8) as u64;
     out[len_pos..len_pos + 8].copy_from_slice(&len.to_le_bytes());
     Some(())
@@ -213,6 +217,15 @@ pub trait AggregatorFactory: Send + Sync {
     /// "were written to run at the high-level only"; built-in count/sum and
     /// the forward-decayed count/sum are splittable.
     fn splittable(&self) -> bool;
+
+    /// Builds the engine's two-level group store for `query`, whose
+    /// aggregate is this factory. The default keeps every group as a
+    /// `Box<dyn Aggregator>` from [`make`](AggregatorFactory::make); the
+    /// splittable built-ins of [`crate::aggregators`] override it to keep
+    /// their state inline (see [`crate::lfta`]).
+    fn group_store(&self, query: &Query) -> GroupStore {
+        GroupStore::boxed(query)
+    }
 }
 
 /// A factory built from a closure — removes per-aggregator factory
@@ -221,7 +234,11 @@ pub struct FnFactory {
     name: String,
     splittable: bool,
     make: Arc<dyn Fn(Micros) -> Box<dyn Aggregator> + Send + Sync>,
+    /// The inline group store of a built-in; `None` keeps the boxed one.
+    store: Option<StoreFn>,
 }
+
+type StoreFn = Arc<dyn Fn(&Query) -> GroupStore + Send + Sync>;
 
 impl FnFactory {
     /// Wraps `make` as a factory.
@@ -234,6 +251,22 @@ impl FnFactory {
             name: name.into(),
             splittable,
             make: Arc::new(make),
+            store: None,
+        })
+    }
+
+    /// A splittable built-in: boxed groups from `make`, inline groups in
+    /// the store `store` builds.
+    pub(crate) fn with_store(
+        name: &str,
+        make: impl Fn(Micros) -> Box<dyn Aggregator> + Send + Sync + 'static,
+        store: impl Fn(&Query) -> GroupStore + Send + Sync + 'static,
+    ) -> Arc<Self> {
+        Arc::new(Self {
+            name: name.into(),
+            splittable: true,
+            make: Arc::new(make),
+            store: Some(Arc::new(store)),
         })
     }
 }
@@ -247,6 +280,12 @@ impl AggregatorFactory for FnFactory {
     }
     fn splittable(&self) -> bool {
         self.splittable
+    }
+    fn group_store(&self, query: &Query) -> GroupStore {
+        match &self.store {
+            Some(store) => store(query),
+            None => GroupStore::boxed(query),
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! synthetic trace.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use forward_decay::core::decay::{Exponential, ForwardDecay, Monomial, NoDecay};
 use forward_decay::engine::prelude::*;
@@ -271,12 +272,33 @@ fn rows_digest(rows: &[Row]) -> u64 {
     for r in rows {
         put(r.bucket_start);
         put(r.key);
-        for iv in r.value.as_items().expect("heavy-hitter rows") {
-            put(iv.item);
-            put(iv.value.to_bits());
-        }
+        put_value(&mut put, &r.value);
     }
     h
+}
+
+fn put_value(put: &mut impl FnMut(u64), v: &AggValue) {
+    match v {
+        AggValue::Float(x) => put(x.to_bits()),
+        AggValue::Items(items) => {
+            for iv in items {
+                put(iv.item);
+                put(iv.value.to_bits());
+            }
+        }
+        AggValue::Multi(parts) => {
+            for p in parts {
+                put_value(put, p);
+            }
+        }
+    }
+}
+
+/// FNV-1a digest of a byte string.
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 #[test]
@@ -310,4 +332,120 @@ fn fwd_hh_rows_match_golden_digest() {
         (10_356_521_099_286_149_524, 14_591_871_040_784_619_952),
         "fwd_hh rows changed"
     );
+}
+
+/// The small seeded trace the golden digests below were recorded on.
+fn golden_trace() -> Vec<Packet> {
+    TraceConfig {
+        seed: 77,
+        duration_secs: 150.0,
+        rate_pps: 1_000.0,
+        n_hosts: 64,
+        ..Default::default()
+    }
+    .generate()
+}
+
+/// The eight splittable built-ins. `Exponential::new(20.0)` overflows `g`
+/// well inside a 60 s bucket, so landmark renormalization fires mid-bucket.
+fn splittable_builtins() -> Vec<(&'static str, Arc<fd_engine::udaf::FnFactory>)> {
+    let len = |p: &Packet| p.len as f64;
+    let exp = Exponential::new(20.0);
+    let poly = Monomial::quadratic();
+    vec![
+        ("count", count_factory()),
+        ("sum", sum_factory(len)),
+        ("fwd_count", fwd_count_factory(poly)),
+        ("fwd_sum", fwd_sum_factory(exp, len)),
+        ("fwd_avg", fwd_avg_factory(poly, len)),
+        ("fwd_var", fwd_var_factory(exp, len)),
+        ("fwd_min", fwd_min_factory(exp, len)),
+        ("fwd_max", fwd_max_factory(poly, len)),
+    ]
+}
+
+fn golden_query(agg: Arc<dyn AggregatorFactory>, two_level: bool) -> Query {
+    Query::builder("golden")
+        .group_by(|p| p.dst_host())
+        .bucket_secs(60)
+        .aggregate(agg)
+        .two_level(two_level)
+        .lfta_slots(16)
+        .build()
+}
+
+#[test]
+fn splittable_builtin_rows_match_golden_digests() {
+    // Recorded from the boxed-only LFTA/HFTA pipeline: the inline group
+    // store must reproduce its rows bit for bit, with the 16-slot LFTA
+    // evicting constantly and without the LFTA.
+    let packets = golden_trace();
+    let got: Vec<(&str, u64, u64)> = splittable_builtins()
+        .into_iter()
+        .map(|(name, f)| {
+            let run = |two_level| {
+                let mut e = Engine::new(golden_query(f.clone(), two_level));
+                rows_digest(&e.run(packets.iter().copied()))
+            };
+            (name, run(true), run(false))
+        })
+        .collect();
+    let want: Vec<(&str, u64, u64)> = vec![
+        ("count", 3189393631719264850, 3189393631719264850),
+        ("sum", 13453525553634590756, 13453525553634590756),
+        ("fwd_count", 14134483926525705557, 5011352715020631710),
+        ("fwd_sum", 6718597637870187783, 9836208848812908149),
+        ("fwd_avg", 1234253621288616481, 11360229623520368313),
+        ("fwd_var", 3832270895965086364, 17263793570586832534),
+        ("fwd_min", 17467905061910299941, 17467905061910299941),
+        ("fwd_max", 13149087715258102856, 13149087715258102856),
+    ];
+    assert_eq!(got, want, "built-in rows changed");
+}
+
+/// The golden checkpoint: `fwd_sum` under renormalizing exponential decay,
+/// 16 LFTA slots, stopped 60% into the trace — after bucket 0 closed (its
+/// rows are still pending), with bucket 1 open in both levels.
+fn golden_checkpoint_engine(packets: &[Packet]) -> (Engine, usize) {
+    let f = fwd_sum_factory(Exponential::new(20.0), |p| p.len as f64);
+    let mut e = Engine::new(golden_query(f, true));
+    let cut = packets.len() * 3 / 5;
+    for p in &packets[..cut] {
+        e.process(p);
+    }
+    (e, cut)
+}
+
+const PARENT_CHECKPOINT: &[u8] = include_bytes!("data/fwd_sum_mid_stream.ckpt");
+
+#[test]
+fn mid_stream_checkpoint_matches_golden_digest() {
+    let packets = golden_trace();
+    let (e, _) = golden_checkpoint_engine(&packets);
+    let blob = e.checkpoint().expect("checkpoint");
+    assert_eq!(
+        (blob.len(), bytes_digest(&blob)),
+        (7882, 12439180789223850481),
+        "checkpoint bytes changed"
+    );
+    assert_eq!(blob, PARENT_CHECKPOINT);
+}
+
+#[test]
+fn restore_from_parent_checkpoint_finishes_bit_identical() {
+    // The blob was written by the boxed-only pipeline; restoring it into
+    // the inline store must resume the run exactly.
+    let packets = golden_trace();
+    let (mut straight, cut) = golden_checkpoint_engine(&packets);
+    let f = fwd_sum_factory(Exponential::new(20.0), |p| p.len as f64);
+    let mut restored = Engine::restore(golden_query(f, true), PARENT_CHECKPOINT).expect("restore");
+    for p in &packets[cut..] {
+        straight.process(p);
+        restored.process(p);
+    }
+    assert_eq!(restored.stats(), straight.stats());
+    let (a, b) = (restored.finish(), straight.finish());
+    assert!(!a.is_empty());
+    assert_eq!(rows_digest(&a), rows_digest(&b));
+    assert_eq!(restored.stats(), straight.stats());
 }
